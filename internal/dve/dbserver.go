@@ -1,6 +1,7 @@
 package dve
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -39,16 +40,18 @@ func StartDBServer(n *proc.Node) (*DBServer, error) {
 	s.listener.OnAccept = func(ch *netstack.TCPSocket) {
 		s.Sessions++
 		s.Proc.FDs.Install(&proc.TCPFile{Sock: ch})
-		buf := ""
+		var buf []byte
 		ch.OnReadable = func() {
-			buf += string(ch.Recv())
+			buf = append(buf, ch.Recv()...)
 			for {
-				idx := strings.IndexByte(buf, ';')
+				idx := bytes.IndexByte(buf, ';')
 				if idx < 0 {
 					return
 				}
-				cmd := buf[:idx]
-				buf = buf[idx+1:]
+				cmd := string(buf[:idx])
+				// Compact: keep the unconsumed tail at the front of the
+				// same backing array.
+				buf = buf[:copy(buf, buf[idx+1:])]
 				s.handle(ch, cmd)
 			}
 		}

@@ -82,12 +82,16 @@ func TestCloneIsDeep(t *testing.T) {
 
 // TestChecksumMatchesReference pins the split header/payload checksum to
 // the original single-buffer RFC 1071 implementation over a spread of
-// payload lengths (odd and even) and field patterns.
+// payload lengths (every tail length of the 64-bit word sum) and field
+// patterns; the longest payload is all ones, so every word carries.
 func TestChecksumMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 15, 16, 1447, 1448} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 15, 16, 1447, 1448, 1536, 2 * 1448} {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i*7 + n)
+			if n > 1536 {
+				payload[i] = 0xFF
+			}
 		}
 		p := &Packet{
 			SrcIP: MakeAddr(203, 0, 113, 9), DstIP: MakeAddr(10, 0, 0, 3),

@@ -8,81 +8,123 @@ package netsim
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"dvemig/internal/simtime"
 )
-
-// payloadPool recycles packet payload buffers. Payloads on the simulated
-// wire are at most one MTU (1500 bytes); pooling them removes the
-// dominant per-packet allocation from the TCP hot path. The pool is
-// shared across concurrently running simulations (sync.Pool is
-// goroutine-safe) and buffer identity never influences simulation
-// results, so determinism is unaffected.
-var payloadPool = sync.Pool{
-	New: func() any { return new([payloadBufCap]byte) },
-}
 
 // payloadBufCap is the capacity of pooled payload buffers: one Ethernet
 // MTU plus slack for jumbo checkpoint chunks staying under 1536.
 const payloadBufCap = 1536
 
-// GetPayload returns a length-n byte slice, recycled from the payload
-// pool when n fits a pooled buffer. Callers hand the buffer back via
-// PutPayload (usually through Packet.Release) when the payload's life
-// ends. The pool holds *[payloadBufCap]byte array pointers rather than
-// *[]byte slice headers: a pointer round-trips through the pool's `any`
-// without boxing, so neither Get nor Put allocates.
-func GetPayload(n int) []byte {
-	if n > payloadBufCap {
-		return make([]byte, n)
-	}
-	return payloadPool.Get().(*[payloadBufCap]byte)[:n]
+// maxFreePackets bounds each of a Pool's free lists, the same way simtime
+// bounds its event free list, so a burst of in-flight packets does not
+// pin memory for the rest of the simulation.
+const maxFreePackets = 4096
+
+// Pool holds one simulation's free lists of Packet structs and payload
+// buffers. It has no locking: a pool belongs to one simtime.Scheduler
+// (see PoolFor), and a scheduler runs on one goroutine, so a packet can
+// never be handed to a concurrently running simulation. Every packet a
+// pool mints carries a back-pointer to it, which is how Release and
+// Clone find the pool without context.
+type Pool struct {
+	pkts []*Packet
+	bufs []*[payloadBufCap]byte
+	live int
 }
 
-// PutPayload recycles a payload buffer obtained from GetPayload.
-// Oversized or foreign buffers are simply dropped.
-func PutPayload(b []byte) {
-	if cap(b) != payloadBufCap {
-		return
-	}
-	payloadPool.Put((*[payloadBufCap]byte)(b[:payloadBufCap]))
+// poolKey keys a scheduler's packet pool (simtime.Scheduler.Local).
+type poolKey struct{}
+
+// PoolFor returns the packet pool of the simulation run by sched,
+// creating it on first use.
+func PoolFor(sched *simtime.Scheduler) *Pool {
+	return sched.Local(poolKey{}, func() any { return new(Pool) }).(*Pool)
 }
 
-// packetPool recycles Packet structs themselves: the fabric and the TCP
-// send path mint one struct per segment plus one per hop clone, which
-// dominates the event loop's allocation profile once payloads are pooled.
-// Like payloadPool it is shared across concurrently running simulations;
-// struct identity never influences results.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// NewPacket returns a zeroed Packet drawn from the struct pool. Callers
-// that construct literal &Packet{} values remain correct (Release accepts
-// any packet), they just bypass the recycling.
-func NewPacket() *Packet {
-	p := packetPool.Get().(*Packet)
-	*p = Packet{}
+// Packet returns a zeroed packet owned by the pool. A nil pool returns
+// a packet no pool owns.
+func (pl *Pool) Packet() *Packet {
+	if pl == nil {
+		return new(Packet)
+	}
+	var p *Packet
+	if n := len(pl.pkts); n > 0 {
+		p = pl.pkts[n-1]
+		pl.pkts[n-1] = nil
+		pl.pkts = pl.pkts[:n-1]
+		*p = Packet{}
+	} else {
+		p = new(Packet)
+	}
+	p.pool = pl
+	pl.live++
 	return p
 }
 
-// Release returns the packet's payload buffer and struct to their pools.
-// It must only be called at points where the packet provably has no
-// other referents: drop paths in the fabric, after the receiving socket
-// copied the bytes out, or after an acknowledged segment leaves the
-// write queue. Releasing twice before the struct is reused is harmless
-// (the second call sees the released flag); fields must not be read
-// after Release — the struct may be serving another packet, possibly in
-// a concurrently running simulation.
+// Payload returns a length-n byte slice, recycled from the pool's buffer
+// list when n fits a pooled buffer. The buffer returns to the pool when
+// the pooled packet carrying it is released. A nil pool returns a fresh
+// slice.
+func (pl *Pool) Payload(n int) []byte {
+	if pl == nil || n > payloadBufCap {
+		return make([]byte, n)
+	}
+	if k := len(pl.bufs); k > 0 {
+		b := pl.bufs[k-1]
+		pl.bufs[k-1] = nil
+		pl.bufs = pl.bufs[:k-1]
+		return b[:n]
+	}
+	return new([payloadBufCap]byte)[:n]
+}
+
+// Live returns the number of packets the pool minted (Packet, Clone)
+// that have not been released yet. A drained simulation whose count
+// stays above zero leaked packets.
+func (pl *Pool) Live() int { return pl.live }
+
+// put recycles a released packet and its payload buffer.
+func (pl *Pool) put(p *Packet) {
+	pl.live--
+	if b := p.Payload; cap(b) == payloadBufCap && len(pl.bufs) < maxFreePackets {
+		pl.bufs = append(pl.bufs, (*[payloadBufCap]byte)(b[:payloadBufCap]))
+	}
+	p.Payload = nil
+	if len(pl.pkts) < maxFreePackets {
+		pl.pkts = append(pl.pkts, p)
+	}
+}
+
+// GetPayload returns a fresh length-n byte slice for a packet that no
+// pool owns; Release leaves it to the garbage collector.
+func GetPayload(n int) []byte { return (*Pool)(nil).Payload(n) }
+
+// NewPacket returns a zeroed packet that no pool owns; Release leaves it
+// to the garbage collector, and so do clones of it. Simulation code
+// mints from its stack's pool instead.
+func NewPacket() *Packet { return (*Pool)(nil).Packet() }
+
+// Release ends the packet's life. It must be called exactly once, by the
+// packet's last owner, at a point where the packet provably has no other
+// referents: drop paths in the fabric and the stack, after the receiving
+// socket consumed the bytes, or after an acknowledged segment leaves the
+// write queue. A pooled packet and its payload buffer go back to the
+// pool of the simulation that minted it, where the very next Packet or
+// Clone may hand the struct out again: fields must not be read after
+// Release. A second Release before that reuse is a no-op; after it, it
+// would release the new owner's packet. The pool is per simulation, so
+// such a bug corrupts only the simulation that has it. A packet no pool
+// owns (NewPacket, Unmarshal, a literal) is left to the garbage
+// collector.
 func (p *Packet) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	if p.Payload != nil {
-		PutPayload(p.Payload)
-		p.Payload = nil
+	if p.pool != nil {
+		p.pool.put(p)
 	}
-	packetPool.Put(p)
 }
 
 // Addr is an IPv4 address.
@@ -161,8 +203,10 @@ type Packet struct {
 	// shared the wire with the application.
 	Class byte
 
-	// released guards the struct pool against double-Release (see
-	// Release). Out-of-band; never marshalled.
+	// pool is the simulation pool that minted the packet, nil for
+	// packets no pool owns; released guards it against double-Release
+	// (see Release). Out-of-band; never marshalled.
+	pool     *Pool
 	released bool
 }
 
@@ -206,20 +250,19 @@ const headerBytes = 52
 // the link-level transfer-time model.
 func (p *Packet) Len() int { return headerBytes + len(p.Payload) }
 
-// Clone returns a copy with a private payload buffer (drawn from the
-// payload pool). The broadcast router clones packets so each node can
-// mangle its copy independently (netfilter hooks rewrite headers in
-// place). The destination cache entry is shared: DstEntry values are
-// immutable once published — translation filters replace the pointer,
-// never the fields.
+// Clone returns a copy with a private payload buffer, drawn from the
+// packet's own pool (a clone of a packet no pool owns is unowned too).
+// The broadcast router clones packets so each node can mangle its copy
+// independently (netfilter hooks rewrite headers in place). The
+// destination cache entry is shared: DstEntry values are immutable once
+// published — translation filters replace the pointer, never the fields.
 func (p *Packet) Clone() *Packet {
-	q := packetPool.Get().(*Packet)
+	q := p.pool.Packet()
 	*q = *p
 	q.released = false
-	if len(p.Payload) == 0 {
-		q.Payload = nil
-	} else {
-		q.Payload = GetPayload(len(p.Payload))
+	q.Payload = nil
+	if len(p.Payload) > 0 {
+		q.Payload = p.pool.Payload(len(p.Payload))
 		copy(q.Payload, p.Payload)
 	}
 	return q
@@ -290,22 +333,37 @@ func (p *Packet) ComputeChecksum() uint16 {
 	p.Checksum = 0
 	p.marshalHeader(hdr[:])
 	p.Checksum = saved
-	var sum uint32
-	for i := 0; i < headerBytes; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(hdr[i:]))
-	}
-	b := p.Payload
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
+	sum := sumWords(sumWords(0, hdr[:]), p.Payload)
 	for sum>>16 != 0 {
 		sum = (sum & 0xFFFF) + (sum >> 16)
 	}
 	return ^uint16(sum)
+}
+
+// sumWords adds b to an Internet-checksum accumulator, 64 bits at a
+// time. Each 64-bit big-endian word contributes its two 32-bit halves;
+// because 2^16 ≡ 1 (mod 0xFFFF), 32-bit words fold to the same ones'
+// complement sum as RFC 1071's 16-bit words. b must start at an even
+// offset within the summed buffer; the accumulator cannot overflow for
+// anything shorter than 2^33 bytes.
+func sumWords(sum uint64, b []byte) uint64 {
+	for len(b) >= 8 {
+		w := binary.BigEndian.Uint64(b)
+		sum += w>>32 + w&0xFFFFFFFF
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
 }
 
 // FixChecksum recomputes and stores the checksum.

@@ -634,6 +634,19 @@ func TestBulkTransferOverLossyLink(t *testing.T) {
 }
 
 func TestFlowControlWindowStallsSender(t *testing.T) {
+	// The window must reopen whether the app reads the bytes or drops them.
+	for _, c := range []struct {
+		name  string
+		drain func(sk *TCPSocket) int
+	}{
+		{"recv", func(sk *TCPSocket) int { return len(sk.Recv()) }},
+		{"discard", (*TCPSocket).Discard},
+	} {
+		t.Run(c.name, func(t *testing.T) { testFlowControlWindowStallsSender(t, c.drain) })
+	}
+}
+
+func testFlowControlWindowStallsSender(t *testing.T, drain func(sk *TCPSocket) int) {
 	p := newPair(t)
 	cli, srv := p.connect(t, 4030)
 	// Server app never reads: the receive buffer fills, the advertised
@@ -650,12 +663,12 @@ func TestFlowControlWindowStallsSender(t *testing.T) {
 	}
 	_ = inflightAndDelivered
 	// The app drains; the window reopens and the transfer completes.
-	var got []byte
-	srv.OnReadable = func() { got = append(got, srv.Recv()...) }
-	got = append(got, srv.Recv()...)
+	got := 0
+	srv.OnReadable = func() { got += drain(srv) }
+	got += drain(srv)
 	p.sched.RunFor(30 * time.Second)
-	if len(got) != len(big) {
-		t.Fatalf("transfer incomplete after window reopened: %d of %d", len(got), len(big))
+	if got != len(big) {
+		t.Fatalf("transfer incomplete after window reopened: %d of %d", got, len(big))
 	}
 	if cli.SendBufLen() != 0 {
 		t.Fatal("send buffer not drained")

@@ -150,8 +150,8 @@ func (w *wbuf) bytes(v []byte) {
 	w.b = append(w.b, v...)
 }
 func (w *wbuf) pad(total int) {
-	for len(w.b) < total {
-		w.b = append(w.b, 0)
+	if n := total - len(w.b); n > 0 {
+		w.b = append(w.b, make([]byte, n)...)
 	}
 }
 

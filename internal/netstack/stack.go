@@ -38,6 +38,9 @@ type Stats struct {
 type Stack struct {
 	Name  string
 	sched *simtime.Scheduler
+	// pool mints every packet the stack's sockets send; it is the
+	// simulation's pool (netsim.PoolFor), shared by all its stacks.
+	pool *netsim.Pool
 
 	// BootJiffies is the node's jiffies counter value at simulation time
 	// zero. Nodes boot at different times, so counters differ — the reason
@@ -87,6 +90,7 @@ func NewStack(sched *simtime.Scheduler, name string, bootJiffies uint32) *Stack 
 	return &Stack{
 		Name:        name,
 		sched:       sched,
+		pool:        netsim.PoolFor(sched),
 		BootJiffies: bootJiffies,
 		localAddrs:  make(map[netsim.Addr]bool),
 		dstCache:    make(map[netsim.Addr]*netsim.DstEntry),

@@ -67,6 +67,10 @@ const (
 	// would otherwise re-arm their timer forever and keep the event queue
 	// from draining.
 	MaxConsecRetrans = 15
+	// maxReusedSndBuf caps the send buffer a socket keeps for reuse once
+	// it drains. A larger one held a bulk transfer (a checkpoint image);
+	// keeping it would pin its peak size for the connection's life.
+	maxReusedSndBuf = DefaultRcvBuf
 )
 
 // ErrNotConnected is returned by Send on a socket that cannot carry data.
@@ -262,8 +266,12 @@ func (sk *TCPSocket) Connect(addr netsim.Addr, port uint16) error {
 
 // listenInput handles a segment addressed to a listening port: a SYN
 // spawns a half-open child socket that is immediately inserted into the
-// ehash table (so retransmitted handshake segments find it).
+// ehash table (so retransmitted handshake segments find it). The listener
+// never retains the segment. Non-SYN segments land here routinely: after
+// a zone server's connections migrate away, every broadcast copy of
+// their traffic reaches the source node's listener.
 func (sk *TCPSocket) listenInput(p *netsim.Packet) {
+	defer p.Release()
 	if p.Flags&netsim.FlagSYN == 0 || p.Flags&netsim.FlagACK != 0 {
 		return
 	}
@@ -317,15 +325,36 @@ func (sk *TCPSocket) Send(data []byte) error {
 // It never blocks; it returns nil when nothing is buffered.
 func (sk *TCPSocket) Recv() []byte {
 	var out []byte
-	for i, p := range sk.receiveQueue {
+	for _, p := range sk.receiveQueue {
 		out = append(out, p.Payload...)
-		p.Release() // bytes copied out; the buffer goes back to the pool
+	}
+	sk.consume(len(out))
+	return out
+}
+
+// Discard drains the in-order receive queue like Recv, without copying
+// the bytes out, and returns how many bytes it dropped. Applications
+// that ignore what they read use it.
+func (sk *TCPSocket) Discard() int {
+	n := 0
+	for _, p := range sk.receiveQueue {
+		n += len(p.Payload)
+	}
+	sk.consume(n)
+	return n
+}
+
+// consume releases the receive queue, whose n payload bytes the
+// application just took, and reopens the advertised window.
+func (sk *TCPSocket) consume(n int) {
+	for i, p := range sk.receiveQueue {
+		p.Release()
 		sk.receiveQueue[i] = nil
 	}
 	sk.receiveQueue = sk.receiveQueue[:0]
-	if len(out) > 0 {
+	if n > 0 {
 		wasFull := sk.rcvBufUsed >= sk.RcvBufMax-sk.MSS
-		sk.rcvBufUsed -= len(out)
+		sk.rcvBufUsed -= n
 		if sk.rcvBufUsed < 0 {
 			sk.rcvBufUsed = 0
 		}
@@ -335,7 +364,6 @@ func (sk *TCPSocket) Recv() []byte {
 			sk.sendAck()
 		}
 	}
-	return out
 }
 
 // EOF reports whether the peer closed its direction.
@@ -513,12 +541,18 @@ func (sk *TCPSocket) segArrived(p *netsim.Packet) {
 	if p.Flags&netsim.FlagACK != 0 {
 		sk.processAck(p)
 	}
+	// Read the FIN before processData: a retained segment may be consumed
+	// and released by the application's OnReadable (Recv), and a reply
+	// sent in the same callback can draw the struct straight back from
+	// the pool for another packet.
+	fin := p.Flags&netsim.FlagFIN != 0
+	finSeq := p.Seq + uint32(len(p.Payload))
 	retained := false
 	if len(p.Payload) > 0 {
 		retained = sk.processData(p)
 	}
-	if p.Flags&netsim.FlagFIN != 0 {
-		sk.processFIN(p)
+	if fin {
+		sk.processFIN(finSeq)
 	}
 	if !retained {
 		p.Release()
@@ -602,7 +636,7 @@ func (sk *TCPSocket) processAck(p *netsim.Packet) {
 
 // processData reports whether the socket retained the packet (on the
 // receive or out-of-order queue); unretained packets are released by the
-// caller after the FIN check, which still reads the payload length.
+// caller. A retained packet may already be released when this returns.
 func (sk *TCPSocket) processData(p *netsim.Packet) bool {
 	switch {
 	case p.Seq == sk.RcvNxt:
@@ -663,8 +697,8 @@ func (sk *TCPSocket) drainOOO() {
 	sk.oooQueue = keep
 }
 
-func (sk *TCPSocket) processFIN(p *netsim.Packet) {
-	finSeq := p.Seq + uint32(len(p.Payload))
+// processFIN handles a FIN occupying sequence number finSeq.
+func (sk *TCPSocket) processFIN(finSeq uint32) {
 	if finSeq != sk.RcvNxt {
 		return // FIN out of order; wait for retransmission
 	}
@@ -729,9 +763,15 @@ func (sk *TCPSocket) pushNew() {
 			sk.ensurePersistTimer()
 			break
 		}
-		payload := netsim.GetPayload(n)
+		payload := sk.stack.pool.Payload(n)
 		copy(payload, sk.sndBuf[:n])
-		sk.sndBuf = sk.sndBuf[n:]
+		if n == len(sk.sndBuf) && cap(sk.sndBuf) <= maxReusedSndBuf {
+			// Drained: keep the backing array so the next Send appends in
+			// place instead of allocating a fresh one.
+			sk.sndBuf = sk.sndBuf[:0]
+		} else {
+			sk.sndBuf = sk.sndBuf[n:]
+		}
 		seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
 		sk.SndNxt += uint32(n)
 		sk.writeQueue = append(sk.writeQueue, seg)
@@ -760,7 +800,7 @@ func (sk *TCPSocket) ensurePersistTimer() {
 			// Window probe: push a single byte past the window. The
 			// receiver acknowledges it with its current window, which
 			// either reopens transmission or re-arms the probe.
-			payload := netsim.GetPayload(1)
+			payload := sk.stack.pool.Payload(1)
 			payload[0] = sk.sndBuf[0]
 			sk.sndBuf = sk.sndBuf[1:]
 			seg := sk.makePacket(netsim.FlagACK|netsim.FlagPSH, sk.SndNxt, sk.RcvNxt, payload)
@@ -801,7 +841,7 @@ func (sk *TCPSocket) tsNow() uint32 { return sk.stack.Jiffies() + sk.TSOffset }
 // destination cache entry onto a new segment.
 func (sk *TCPSocket) makePacket(flags byte, seq, ack uint32, payload []byte) *netsim.Packet {
 	sk.LastTxJiffies = sk.tsNow()
-	p := netsim.NewPacket()
+	p := sk.stack.pool.Packet()
 	p.SrcIP, p.DstIP, p.Proto, p.TTL = sk.LocalIP, sk.RemoteIP, netsim.ProtoTCP, 64
 	p.SrcPort, p.DstPort = sk.LocalPort, sk.RemotePort
 	p.Seq, p.Ack, p.Flags, p.Window = seq, ack, flags, sk.advertisedWindow()

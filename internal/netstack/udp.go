@@ -74,11 +74,11 @@ func (us *UDPSocket) SendTo(dst netsim.Addr, port uint16, payload []byte) error 
 		}
 		us.dstCacheByPeer[dst] = d
 	}
-	p := netsim.NewPacket()
+	p := us.stack.pool.Packet()
 	p.SrcIP, p.DstIP, p.Proto, p.TTL = us.LocalIP, dst, netsim.ProtoUDP, 64
 	p.SrcPort, p.DstPort = us.LocalPort, port
 	p.TSVal = us.stack.Jiffies()
-	p.Payload = netsim.GetPayload(len(payload))
+	p.Payload = us.stack.pool.Payload(len(payload))
 	copy(p.Payload, payload)
 	p.Dst = d
 	p.FixChecksum()

@@ -9,7 +9,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -69,32 +68,93 @@ func (e *Event) Canceled() bool { return e.canceled }
 // fired if canceled).
 func (e *Event) When() Time { return e.when }
 
+// eventQueue is a binary min-heap of events ordered by (when, seq). It is
+// a concrete heap rather than a container/heap.Interface: the event loop
+// pushes and pops once per event, and the interface dispatch of Less and
+// Swap dominated timer-heavy simulations. The sift steps are exactly
+// container/heap's, so the array layout (and PendingNames' order) is the
+// same as with the generic heap.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (q eventQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
+
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
+
+func (q eventQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *eventQueue) push(e *Event) {
 	e.index = len(*q)
 	*q = append(*q, e)
+	q.up(len(*q) - 1)
 }
-func (q *eventQueue) Pop() any {
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event {
+	n := len(*q) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	return q.trim()
+}
+
+// remove removes and returns the event at index i.
+func (q *eventQueue) remove(i int) *Event {
+	n := len(*q) - 1
+	if n != i {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	return q.trim()
+}
+
+// trim drops the last element, which pop and remove have sifted there.
+func (q *eventQueue) trim() *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
 	return e
 }
 
@@ -127,6 +187,8 @@ type Scheduler struct {
 	// virtual time, so profiled and unprofiled runs are bit-identical.
 	// Nil (the default) costs two pointer comparisons per step.
 	Prof *simprof.LoopProf
+
+	locals map[any]any // see Local
 }
 
 // NewScheduler returns a scheduler whose clock starts at zero.
@@ -136,6 +198,24 @@ func NewScheduler() *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
+
+// Local returns the value stored on this scheduler under key, creating
+// it with mk on first use. A scheduler is one simulation running on one
+// goroutine, so layers above simtime keep per-simulation state here that
+// must never be shared with a concurrently running simulation (netsim's
+// packet free lists). Keys follow context.WithValue's convention: an
+// unexported type of the owning package.
+func (s *Scheduler) Local(key any, mk func() any) any {
+	v, ok := s.locals[key]
+	if !ok {
+		if s.locals == nil {
+			s.locals = make(map[any]any)
+		}
+		v = mk()
+		s.locals[key] = v
+	}
+	return v
+}
 
 // Steps returns the number of events executed so far. Useful for asserting
 // that simulations terminate.
@@ -181,7 +261,7 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 	e.when, e.seq, e.fn, e.name = t, s.seq, fn, name
 	e.canceled = false
 	e.state = statePending
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -216,7 +296,7 @@ func (s *Scheduler) AtCall(t Time, name string, fn func(a0, a1 any), a0, a1 any)
 	e.fn2, e.arg0, e.arg1 = fn, a0, a1
 	e.canceled = false
 	e.state = statePending
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -241,7 +321,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	}
 	e.canceled = true
 	s.ncancels++
-	heap.Remove(&s.queue, e.index)
+	s.queue.remove(e.index)
 	s.release(e)
 }
 
@@ -263,7 +343,7 @@ func (s *Scheduler) step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue.pop()
 	if e.when < s.now {
 		panic("simtime: event queue went backwards")
 	}
