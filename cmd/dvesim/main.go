@@ -7,7 +7,10 @@
 // Usage:
 //
 //	dvesim [-lb] [-duration 900] [-fast]
+//	       [-trace-out t.json] [-metrics-out m.metrics] [-series-out s.json]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-simprof-out simprof.json]
+//
+// The control-plane soak battery is cmd/soak.
 package main
 
 import (
@@ -17,11 +20,11 @@ import (
 	"path/filepath"
 	"time"
 
+	"dvemig/cmd/internal/artifacts"
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
 	"dvemig/internal/migration"
 	"dvemig/internal/obs"
-	"dvemig/internal/simprof"
 	"dvemig/internal/simtime"
 )
 
@@ -34,16 +37,9 @@ func main() {
 	neighbors := flag.Bool("neighbors", false, "connect zone servers to their grid neighbors (both-ends migration)")
 	showMap := flag.Bool("fig5a", false, "print the Fig 5a zone map and exit")
 	csvDir := flag.String("csv", "", "write cpu.csv / procs.csv / rate.csv time series into this directory")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON (Perfetto-loadable) of the run to this file")
-	metricsOut := flag.String("metrics-out", "", "write the run's metric snapshot (counters/gauges/histograms) to this file")
 	sample := flag.Duration("sample", time.Second, "sim-time sampling cadence for the observability time series (0 disables)")
-	seriesOut := flag.String("series-out", "", "write the sampled time series to this file (.csv for CSV, else JSON)")
 	strategy := flag.String("strategy", "precopy", "memory-movement strategy for every LB migration: precopy|postcopy|hybrid")
-	soak := flag.Bool("soak", false, "run the control-plane soak battery instead of the DVE simulation")
-	soakRequests := flag.Int("soak-requests", 200, "with -soak: migration objects per (scenario, seed) cell")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
+	out := artifacts.Register("dvesim", "the run", true)
 	flag.Parse()
 
 	if *showMap {
@@ -51,25 +47,8 @@ func main() {
 		return
 	}
 
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(2)
-	}
-	closeSession := func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: writing profiles: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *soak {
-		runSoak(*soakRequests, *strategy, *traceOut, *metricsOut, *seriesOut, sess.Prof)
-		closeSession()
-		return
-	}
-
-	observe := *traceOut != "" || *metricsOut != "" || *seriesOut != ""
+	prof := out.Open()
+	observe := out.Observe()
 	cfg := dve.DefaultConfig()
 	mig, err := migration.StrategyByName(*strategy)
 	if err != nil {
@@ -87,63 +66,60 @@ func main() {
 		cfg.LBConfig.ImbalanceThreshold = 0.08
 		cfg.LBConfig.CalmDown = 8e9
 	}
+	// The runs are independent simulations with private schedulers; with
+	// -both the parallel runner overlaps the LB-off and LB-on runs and
+	// returns them in canonical (off, on) order.
+	lbs := []bool{cfg.LB}
 	if *both {
-		// The two runs are independent simulations with private
-		// schedulers; the parallel runner overlaps them and returns the
-		// results in canonical (off, on) order.
+		lbs = []bool{false, true}
 		fmt.Fprintf(os.Stderr, "running %ds of simulated time twice (lb off and on, concurrently)...\n", *duration)
-		caps := make([]*obs.Capture, 2)
-		runs, err := eval.RunParallel([]bool{false, true}, 0, func(lb bool) (*dve.Results, error) {
-			c := cfg
-			c.LB = lb
-			sim, err := dve.New(c)
-			if err != nil {
-				return nil, err
-			}
-			sim.Cluster.Sched.Prof = sess.Prof.Loop(fmt.Sprintf("dve/lb=%v", lb))
-			attachSampler(sim, *sample)
-			r := sim.Run()
-			if observe {
-				// Index writes are per-worker-disjoint and canonical
-				// (off=0, on=1), so the exported file is deterministic.
-				idx := 0
-				if lb {
-					idx = 1
-				}
-				caps[idx] = sim.CaptureObs(fmt.Sprintf("dve/lb=%v", lb))
-			}
-			return r, nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-			os.Exit(1)
-		}
-		writeObs(*traceOut, *metricsOut, *seriesOut, caps...)
-		if *series {
-			fmt.Printf("=== Fig 5e (CPU per node, no LB) ===\n%s\n", runs[0].CPU.Table())
-			fmt.Printf("=== Fig 5f (CPU per node, LB enabled) ===\n%s\n", runs[1].CPU.Table())
-			fmt.Printf("=== Fig 5d (zone servers per node) ===\n%s\n", runs[1].Procs.Table())
-		}
-		fmt.Println(eval.DVESummary(runs[0], false))
-		fmt.Println(eval.DVESummary(runs[1], true))
-		closeSession()
-		return
+	} else {
+		fmt.Fprintf(os.Stderr, "running %ds of simulated time (%d zones, %d clients, lb=%v)...\n",
+			*duration, dve.GridW*dve.GridH, cfg.Clients, cfg.LB)
 	}
-
-	sim, err := dve.New(cfg)
+	type run struct {
+		res *dve.Results
+		cap *obs.Capture
+	}
+	runs, err := eval.RunParallel(lbs, 0, nil, func(lb bool) (run, error) {
+		c := cfg
+		c.LB = lb
+		sim, err := dve.New(c)
+		if err != nil {
+			return run{}, err
+		}
+		label := fmt.Sprintf("dve/lb=%v", lb)
+		sim.Cluster.Sched.Prof = prof.Loop(label)
+		attachSampler(sim, *sample)
+		r := run{res: sim.Run()}
+		if observe {
+			r.cap = sim.CaptureObs(label)
+		}
+		return r, nil
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "running %ds of simulated time (%d zones, %d clients, lb=%v)...\n",
-		*duration, dve.GridW*dve.GridH, cfg.Clients, cfg.LB)
-	sim.Cluster.Sched.Prof = sess.Prof.Loop(fmt.Sprintf("dve/lb=%v", cfg.LB))
-	attachSampler(sim, *sample)
-	r := sim.Run()
-	if observe {
-		writeObs(*traceOut, *metricsOut, *seriesOut, sim.CaptureObs(fmt.Sprintf("dve/lb=%v", cfg.LB)))
+	caps := make([]*obs.Capture, len(runs))
+	for i, r := range runs {
+		caps[i] = r.cap
+	}
+	out.Write(caps...)
+	if *both {
+		off, on := runs[0].res, runs[1].res
+		if *series {
+			fmt.Printf("=== Fig 5e (CPU per node, no LB) ===\n%s\n", off.CPU.Table())
+			fmt.Printf("=== Fig 5f (CPU per node, LB enabled) ===\n%s\n", on.CPU.Table())
+			fmt.Printf("=== Fig 5d (zone servers per node) ===\n%s\n", on.Procs.Table())
+		}
+		fmt.Println(eval.DVESummary(off, false))
+		fmt.Println(eval.DVESummary(on, true))
+		out.Close()
+		return
 	}
 
+	r := runs[0].res
 	if *series {
 		fig := "Fig 5e (CPU per node, no LB)"
 		if cfg.LB {
@@ -167,7 +143,7 @@ func main() {
 		}
 	}
 	fmt.Println(eval.DVESummary(r, cfg.LB))
-	closeSession()
+	out.Close()
 }
 
 // attachSampler arms a sim-time sampler on an observed run: every
@@ -182,51 +158,4 @@ func attachSampler(sim *dve.Simulation, period time.Duration) {
 	s.Harvest = func(r *obs.Registry) { obs.HarvestCluster(r, sim.Cluster) }
 	sim.Obs.Sampler = s
 	s.Start()
-}
-
-// runSoak is the -soak mode: a reduced control-plane soak battery (the
-// full-size one lives in cmd/soak) sharing dvesim's artifact flags.
-func runSoak(requests int, strategy, tracePath, metricsPath, seriesPath string, prof *simprof.Profiler) {
-	cfg := eval.DefaultSoakConfig()
-	cfg.Requests = requests
-	cfg.Strategy = strategy
-	cfg.Observe = tracePath != "" || metricsPath != "" || seriesPath != ""
-	cfg.Prof = prof
-	fmt.Fprintf(os.Stderr, "soaking %d cells × %d requests (strategy %s)...\n",
-		len(cfg.Scenarios)*len(cfg.Seeds), cfg.Requests, cfg.Strategy)
-	rep, err := eval.RunSoak(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dvesim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(rep.Table())
-	if t := rep.SLOTable(); t != "" {
-		fmt.Print(t)
-	}
-	writeObs(tracePath, metricsPath, seriesPath, rep.Captures()...)
-	for _, res := range rep.Results {
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "dvesim: soak violations in %s/seed%d: %v\n",
-				res.Scenario, res.Seed, res.Violations)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeObs writes the trace, metrics and/or series artifacts when
-// their flags were given; any path may be empty.
-func writeObs(tracePath, metricsPath, seriesPath string, caps ...*obs.Capture) {
-	write := func(path, what string, fn func(string, ...*obs.Capture) error) {
-		if path == "" {
-			return
-		}
-		if err := fn(path, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "dvesim: writing %s: %v\n", what, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-	write(tracePath, "trace", obs.WriteChromeTraceFile)
-	write(metricsPath, "metrics", obs.WriteMetricsFile)
-	write(seriesPath, "series", obs.WriteSeriesFile)
 }

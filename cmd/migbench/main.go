@@ -20,10 +20,10 @@ import (
 	"strconv"
 	"strings"
 
+	"dvemig/cmd/internal/artifacts"
 	"dvemig/internal/eval"
 	"dvemig/internal/migration"
 	"dvemig/internal/obs"
-	"dvemig/internal/simprof"
 )
 
 func main() {
@@ -32,46 +32,36 @@ func main() {
 	what := flag.String("what", "all", "freeze|bytes|all")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	seed := flag.Uint64("seed", 0, "deterministic traffic-alignment seed; same seed = byte-identical artifacts, different seeds diverge (diagnose with obsdiff)")
-	traceOut := flag.String("trace-out", "", "run the sweep observed and write a Chrome trace_event JSON of every migration to this file")
-	metricsOut := flag.String("metrics-out", "", "run the sweep observed and write the merged metric snapshots to this file")
 	phaseTable := flag.Bool("phase-table", false, "run the sweep observed and print the per-phase latency breakdown")
 	attrTable := flag.Bool("attr-table", false, "run the sweep observed and print the per-connection freeze-time attribution (Fig 5b breakdown axis)")
 	strategy := flag.String("strategy", "precopy", "memory-movement strategy: precopy|postcopy|hybrid (orthogonal to the socket-strategy axis the tables sweep)")
 	race := flag.Bool("strategy-race", false, "run the chaos strategy race (all three strategies head to head) and print its tables instead of the Fig 5b/5c sweep")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
+	out := artifacts.Register("migbench", "every migration in the sweep (runs it observed)", false)
 	flag.Parse()
-
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
-		os.Exit(2)
-	}
-	closeSession := func() {
-		if err := sess.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "migbench: writing profiles: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	prof := out.Open()
 
 	if *race {
-		cfg := eval.DefaultStrategySweepConfig()
-		cfg.Chaos.Workers = *parallel
-		cfg.Chaos.Prof = sess.Prof
+		cfg := eval.DefaultChaosConfig()
+		cfg.Seeds = []uint64{1, 2}
+		cfg.Workers = *parallel
+		cfg.Prof = prof
 		r, err := eval.RunStrategySweep(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println(r.Table())
-		fmt.Println(r.Summary())
-		closeSession()
+		fmt.Println(r.StrategyTable())
+		fmt.Println(r.StrategySummary())
+		out.Close()
 		return
 	}
 	mig, err := migration.StrategyByName(*strategy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
+		os.Exit(2)
+	}
+	if *what != "freeze" && *what != "bytes" && *what != "all" {
+		fmt.Fprintf(os.Stderr, "migbench: unknown -what %q (freeze|bytes|all)\n", *what)
 		os.Exit(2)
 	}
 
@@ -85,8 +75,14 @@ func main() {
 		conns = append(conns, n)
 	}
 
-	observe := *traceOut != "" || *metricsOut != "" || *phaseTable || *attrTable
-	points, err := eval.RunFreezeSweepProf(conns, eval.SweepStrategies, *repeats, *parallel, *seed, observe, mig, sess.Prof)
+	base := eval.DefaultFreezeConfig(0, 0) // RunFreezeSweep sets each point's conns and socket strategy
+	base.Repeats = *repeats
+	base.Workers = *parallel
+	base.Seed = *seed
+	base.Observe = out.Observe() || *phaseTable || *attrTable
+	base.MigCfg.Mig = mig
+	base.Prof = prof
+	points, err := eval.RunFreezeSweep(conns, base)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "migbench: %v\n", err)
 		os.Exit(1)
@@ -112,28 +108,13 @@ func main() {
 		fmt.Println("=== freeze-time attribution ===")
 		fmt.Println(eval.FreezeAttrTable(points))
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		// Point order is conns-major, strategy-minor (the canonical sweep
-		// order), and repeats within a point merged in repeat order, so
-		// the artifacts are byte-identical at any -parallel setting.
-		var caps []*obs.Capture
-		for _, pt := range points {
-			caps = append(caps, pt.Caps...)
-		}
-		if *traceOut != "" {
-			if err := obs.WriteChromeTraceFile(*traceOut, caps...); err != nil {
-				fmt.Fprintf(os.Stderr, "migbench: writing trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := obs.WriteMetricsFile(*metricsOut, caps...); err != nil {
-				fmt.Fprintf(os.Stderr, "migbench: writing metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
-		}
+	// Point order is conns-major, strategy-minor (the canonical sweep
+	// order), and repeats within a point merged in repeat order, so the
+	// artifacts are byte-identical at any -parallel setting.
+	var caps []*obs.Capture
+	for _, pt := range points {
+		caps = append(caps, pt.Caps...)
 	}
-	closeSession()
+	out.Write(caps...)
+	out.Close()
 }

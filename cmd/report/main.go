@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"os"
 
+	"dvemig/cmd/internal/artifacts"
 	"dvemig/internal/dve"
 	"dvemig/internal/eval"
 	"dvemig/internal/obs"
 	"dvemig/internal/openarena"
-	"dvemig/internal/simprof"
 	"dvemig/internal/stream"
 )
 
@@ -26,11 +26,7 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale sweep (1024 connections, 900s simulations)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the sweeps (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 	phaseTable := flag.Bool("phase-table", false, "run the Fig 5b/5c sweep observed and print the per-phase latency breakdown")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace of the observed Fig 5b/5c sweep to this file (implies observing the sweep)")
-	metricsOut := flag.String("metrics-out", "", "write the observed sweep's merged metric snapshots to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
+	out := artifacts.Register("report", "the Fig 5b/5c sweep (runs it observed)", false)
 	flag.Parse()
 
 	fail := func(err error) {
@@ -38,10 +34,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fail(err)
-	}
+	prof := out.Open()
 
 	fmt.Println("=== dvemig evaluation report (all quantities simulated) ===")
 	fmt.Println()
@@ -63,8 +56,12 @@ func main() {
 		conns = eval.SweepConns
 		repeats = 3
 	}
-	observe := *phaseTable || *traceOut != "" || *metricsOut != ""
-	points, err := eval.RunFreezeSweepProf(conns, eval.SweepStrategies, repeats, *parallel, 0, observe, nil, sess.Prof)
+	base := eval.DefaultFreezeConfig(0, 0) // RunFreezeSweep sets each point's conns and socket strategy
+	base.Repeats = repeats
+	base.Workers = *parallel
+	base.Observe = *phaseTable || out.Observe()
+	base.Prof = prof
+	points, err := eval.RunFreezeSweep(conns, base)
 	if err != nil {
 		fail(err)
 	}
@@ -74,24 +71,11 @@ func main() {
 		fmt.Println("Per-phase breakdown — " + eval.PhaseTable(points))
 		fmt.Println("Freeze attribution — " + eval.FreezeAttrTable(points))
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		var caps []*obs.Capture
-		for _, pt := range points {
-			caps = append(caps, pt.Caps...)
-		}
-		if *traceOut != "" {
-			if err := obs.WriteChromeTraceFile(*traceOut, caps...); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := obs.WriteMetricsFile(*metricsOut, caps...); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
-		}
+	var caps []*obs.Capture
+	for _, pt := range points {
+		caps = append(caps, pt.Caps...)
 	}
+	out.Write(caps...)
 
 	// Fig 5d/e/f: the LB-off and LB-on runs are independent simulations,
 	// so they too fan out over the parallel runner.
@@ -101,7 +85,7 @@ func main() {
 		dcfg.MoveStart = 30e9
 		dcfg.MoveProb = 0.08
 	}
-	dveRuns, err := eval.RunParallel([]bool{false, true}, *parallel,
+	dveRuns, err := eval.RunParallel([]bool{false, true}, *parallel, nil,
 		func(lb bool) (*dve.Results, error) { return runDVE(dcfg, lb) })
 	if err != nil {
 		fail(err)
@@ -128,9 +112,7 @@ func main() {
 		bc.Mode, bc.Lost, nat.Mode, nat.Lost)
 	fmt.Printf("  client outage: OS-level %.2f client-seconds vs app-layer baseline %.2f\n",
 		on.OutageClientSeconds, mustAppLayer(dcfg).OutageClientSeconds)
-	if err := sess.Close(); err != nil {
-		fail(err)
-	}
+	out.Close()
 }
 
 func runDVE(cfg dve.Config, lb bool) (*dve.Results, error) {

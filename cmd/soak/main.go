@@ -25,10 +25,9 @@ import (
 	"strings"
 	"time"
 
+	"dvemig/cmd/internal/artifacts"
 	"dvemig/internal/eval"
 	"dvemig/internal/migration"
-	"dvemig/internal/obs"
-	"dvemig/internal/simprof"
 )
 
 func main() {
@@ -42,20 +41,10 @@ func main() {
 	workers := flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS); results are identical at any value")
 	flight := flag.Int("flight", 512, "flight-recorder depth (0 disables; dumped on audit violation)")
 	causes := flag.Bool("causes", false, "print sampled failure cause chains per cell")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of every cell to this file")
-	metricsOut := flag.String("metrics-out", "", "write the merged metric snapshot artifacts to this file")
 	sample := flag.Duration("sample", time.Second, "sim-time sampling cadence for series, incremental audits and SLOs (0 disables)")
-	seriesOut := flag.String("series-out", "", "write every cell's sampled time series + SLO verdicts to this file (.csv for CSV, else JSON)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	simprofOut := flag.String("simprof-out", "", "self-profile the simulator's hot paths and write the simprof JSON report to this file")
+	out := artifacts.Register("soak", "every cell", true)
 	flag.Parse()
-
-	sess, err := simprof.OpenSession(*cpuProfile, *memProfile, *simprofOut, 1)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		os.Exit(2)
-	}
+	prof := out.Open()
 
 	cfg := eval.DefaultSoakConfig()
 	cfg.Requests = *requests
@@ -64,8 +53,8 @@ func main() {
 	cfg.CancelFraction = *cancels
 	cfg.Workers = *workers
 	cfg.FlightDepth = *flight
-	cfg.Prof = sess.Prof
-	cfg.Observe = *traceOut != "" || *metricsOut != "" || *seriesOut != ""
+	cfg.Prof = prof
+	cfg.Observe = out.Observe()
 	if *sample <= 0 {
 		cfg.SamplePeriod = -1 // sampling, incremental audits and SLOs off
 	} else {
@@ -125,11 +114,8 @@ func main() {
 			}
 		}
 	}
-	writeArtifacts(*traceOut, *metricsOut, *seriesOut, rep)
-	if err := sess.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: writing profiles: %v\n", err)
-		os.Exit(1)
-	}
+	out.Write(rep.Captures()...)
+	out.Close()
 
 	bad := false
 	for _, res := range rep.Results {
@@ -146,33 +132,5 @@ func main() {
 	}
 	if bad {
 		os.Exit(1)
-	}
-}
-
-func writeArtifacts(tracePath, metricsPath, seriesPath string, rep *eval.SoakReport) {
-	if tracePath == "" && metricsPath == "" && seriesPath == "" {
-		return
-	}
-	caps := rep.Captures()
-	if tracePath != "" {
-		if err := obs.WriteChromeTraceFile(tracePath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", tracePath)
-	}
-	if metricsPath != "" {
-		if err := obs.WriteMetricsFile(metricsPath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", metricsPath)
-	}
-	if seriesPath != "" {
-		if err := obs.WriteSeriesFile(seriesPath, caps...); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: writing series: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", seriesPath)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dvemig/internal/flight"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
 	"dvemig/internal/proc"
@@ -100,6 +101,51 @@ func TestCaptureDedupsBySeq(t *testing.T) {
 	}
 	if f.Deduped != 1 {
 		t.Fatalf("deduped = %d", f.Deduped)
+	}
+}
+
+// TestFlightRecordsHookSteal delivers the same TCP segment twice to a
+// stack with a capture filter and a flight recorder attached. The first
+// copy is queued, the second is a duplicate the dedup path releases
+// inside the hook; both hook-steal records must still carry the
+// segment's addresses and seq, read before the hook could release it.
+func TestFlightRecordsHookSteal(t *testing.T) {
+	c := proc.NewCluster(simtime.NewScheduler(), 2)
+	n2 := c.Nodes[1]
+	n2.Stack.FR = flight.New("n2", 16)
+	ext := c.NewExternalHost("cli")
+	src, err := ext.SourceAddrFor(c.ClusterIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(n2.Stack)
+	f := svc.Enable(netsim.FlowKey{RemoteIP: src, RemotePort: 4000, LocalPort: 5555, Proto: netsim.ProtoTCP})
+	for i := 0; i < 2; i++ {
+		p := netsim.PoolFor(c.Sched).Packet()
+		p.Proto, p.Flags = netsim.ProtoTCP, netsim.FlagACK
+		p.SrcIP, p.SrcPort, p.DstIP, p.DstPort = src, 4000, c.ClusterIP, 5555
+		p.Seq, p.Payload = 4242, []byte("dup")
+		p.FixChecksum()
+		ext.TransmitRaw(p)
+	}
+	c.Sched.RunFor(10 * time.Millisecond)
+	if f.QueueLen() != 1 || f.Deduped != 1 {
+		t.Fatalf("queue=%d deduped=%d, want 1 and 1", f.QueueLen(), f.Deduped)
+	}
+	wantSrc := int64(uint64(src)<<32 | 4000)
+	wantDst := int64(uint64(c.ClusterIP)<<32 | 5555)
+	steals := 0
+	for _, ev := range n2.Stack.FR.Events() {
+		if ev.Kind != "hook-steal" {
+			continue
+		}
+		steals++
+		if ev.Name != "local-in" || ev.A != wantSrc || ev.B != wantDst || ev.C != 4242 {
+			t.Errorf("hook-steal record %+v, want local-in src=%#x dst=%#x seq=4242", ev, wantSrc, wantDst)
+		}
+	}
+	if steals != 2 {
+		t.Fatalf("%d hook-steal records, want 2", steals)
 	}
 }
 

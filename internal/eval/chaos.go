@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"dvemig/internal/faults"
-	"dvemig/internal/flight"
 	"dvemig/internal/migration"
 	"dvemig/internal/netsim"
 	"dvemig/internal/netstack"
@@ -145,6 +144,9 @@ func DefaultChaosScenarios() []ChaosScenario {
 type ChaosResult struct {
 	Scenario string
 	Seed     uint64
+	// Strategy names the memory-movement strategy the cell migrated
+	// with (MigCfg.Mig; precopy when unset).
+	Strategy string
 	// Survived: the process is running (on either node) at the end.
 	Survived bool
 	// Completed/Aborted report the migration outcome; AbortReason the
@@ -182,33 +184,13 @@ type ChaosReport struct {
 }
 
 // Captures lists the cells' observability captures in result (scenario-
-// major, seed-minor) order, skipping unobserved cells. Feeding them to
-// obs.WriteChromeTrace in this canonical order keeps exported artifacts
-// bit-identical at any sweep worker count.
-func (r *ChaosReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
+// major, seed-minor) order, skipping unobserved cells.
+func (r *ChaosReport) Captures() []*obs.Capture { return captures(r.Results) }
 
 // MergedSnapshot sums every observed cell's metric snapshot in
-// canonical order (nil when the sweep ran unobserved). All cells share
-// one histogram configuration, so the bounds-mismatch error cannot
-// fire; it is surfaced anyway rather than swallowed.
+// canonical order (nil when the sweep ran unobserved).
 func (r *ChaosReport) MergedSnapshot() (*obs.Snapshot, error) {
-	caps := r.Captures()
-	if len(caps) == 0 {
-		return nil, nil
-	}
-	snaps := make([]*obs.Snapshot, len(caps))
-	for i, c := range caps {
-		snaps[i] = c.Snap
-	}
-	return obs.MergeSnapshots(snaps...)
+	return mergedSnapshot(r.Captures())
 }
 
 // Counts returns (survived, completed, aborted, violated) cell counts.
@@ -260,23 +242,11 @@ func (r *ChaosReport) Table() string {
 // count (each cell owns a private scheduler and cluster, and results
 // merge in scenario-major, seed-minor order).
 func RunChaosSweep(cfg ChaosConfig) (*ChaosReport, error) {
-	type cell struct {
-		sc   ChaosScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(cfg.Scenarios)*len(cfg.Seeds))
-	for _, sc := range cfg.Scenarios {
-		for _, seed := range cfg.Seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers), func(c cell) (*ChaosResult, error) {
-		res, err := RunChaosScenario(cfg, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("chaos %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
+	results, err := runGrid("chaos", cfg.Scenarios, cfg.Seeds,
+		cfg.Workers, cfg.Prof.Sweep("chaos-sweep", cfg.Workers),
+		func(sc ChaosScenario, seed uint64) (*ChaosResult, error) {
+			return RunChaosScenario(cfg, sc, seed)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -319,6 +289,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	sched := simtime.NewScheduler()
 	cluster := proc.NewCluster(sched, 3)
 	src, dst, dbNode := cluster.Nodes[0], cluster.Nodes[1], cluster.Nodes[2]
+	pl := newCellPlane(cluster, cfg.Observe, cfg.Prof, fmt.Sprintf("chaos/%s/seed%d", sc.Name, seed), cfg.FlightDepth)
 	srcMig, err := migration.NewMigrator(src, cfg.MigCfg)
 	if err != nil {
 		return nil, err
@@ -327,27 +298,8 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	if err != nil {
 		return nil, err
 	}
-	var o *obs.Obs
-	if cfg.Observe {
-		o = obs.New(sched)
-		srcMig.SetObs(o)
-		dstMig.SetObs(o)
-	}
-	if cfg.Prof != nil {
-		label := fmt.Sprintf("chaos/%s/seed%d", sc.Name, seed)
-		sched.Prof = cfg.Prof.Loop(label)
-		skew := cfg.Prof.Skew(label)
-		srcMig.Prof = skew
-		dstMig.Prof = skew
-	}
-	var fset *flight.Set
-	if cfg.FlightDepth > 0 {
-		fset = flight.NewSet(cfg.FlightDepth)
-		sched.FR = fset.Track("sched")
-		for _, n := range cluster.Nodes {
-			n.AttachFlight(fset)
-		}
-	}
+	pl.attach(srcMig)
+	pl.attach(dstMig)
 	if _, err := startTransdOn(dbNode); err != nil {
 		return nil, err
 	}
@@ -450,7 +402,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	cliTicker.Start()
 
 	inj := faults.NewInjector(sched, seed)
-	inj.Obs = o
+	inj.Obs = pl.obs
 	env := &ChaosEnv{
 		Sched: sched, Cluster: cluster, Inj: inj,
 		Source: src, Dest: dst, DB: dbNode,
@@ -461,7 +413,11 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 		sc.Arm(env)
 	}
 
-	res := &ChaosResult{Scenario: sc.Name, Seed: seed}
+	mig := cfg.MigCfg.Mig
+	if mig == nil {
+		mig = migration.Precopy()
+	}
+	res := &ChaosResult{Scenario: sc.Name, Seed: seed, Strategy: mig.Name()}
 	sched.At(env.MigrateAt, "chaos.migrate", func() {
 		srcMig.Migrate(p, dst.LocalIP, func(m *migration.Metrics, err error) {
 			res.Metrics = m
@@ -547,14 +503,8 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	res.TraceHash = sniff.h
 
 	// Drain to quiescence: with the stream stopped, disarm the surviving
-	// process's loop and close the client sockets, then hop from event to
-	// event until the queue empties. Every timer in the system is now
-	// either canceled eagerly (tickers, migration leases, translation
-	// retries) or self-limiting (TCP retransmission gives up after
-	// MaxConsecRetrans — with full exponential backoff to MaxRTO that
-	// takes tens of simulated minutes, hence the generous horizon), so a
-	// healthy run always reaches Pending()==0 — the exact-count invariant
-	// the scheduler overhaul makes checkable.
+	// process's loop and close the client sockets; a healthy run then
+	// always reaches Pending()==0.
 	if home != nil {
 		for _, pr := range home.Processes() {
 			if pr.Name == "zone_serv" {
@@ -565,23 +515,7 @@ func RunChaosScenario(cfg ChaosConfig, sc ChaosScenario, seed uint64) (*ChaosRes
 	for _, cli := range clients {
 		cli.Close()
 	}
-	limit := sched.Now() + 3600*1e9
-	for sched.Pending() > 0 {
-		next, _ := sched.NextEventTime()
-		if next > limit {
-			break
-		}
-		sched.RunUntil(next)
-	}
-	res.PendingAfterDrain = sched.Pending()
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		res.Obs = o.Capture(fmt.Sprintf("%s/seed%d", sc.Name, seed))
-	}
-	if fset != nil && len(res.Violations) > 0 {
-		var b strings.Builder
-		fset.Dump(&b)
-		res.FlightDump = b.String()
-	}
+	res.PendingAfterDrain = pl.drain()
+	res.Obs, res.FlightDump = pl.finish(cluster, fmt.Sprintf("%s/seed%d", sc.Name, seed), len(res.Violations) > 0)
 	return res, nil
 }

@@ -127,23 +127,7 @@ func (r *FailoverReport) Table() string {
 // GOMAXPROCS, 1 is the serial path). The report is bit-identical at
 // every worker count; see RunParallel.
 func RunFailoverSweep(scenarios []FailoverScenario, seeds []uint64, workers int) (*FailoverReport, error) {
-	type cell struct {
-		sc   FailoverScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(scenarios)*len(seeds))
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallel(cells, workers, func(c cell) (*FailoverResult, error) {
-		res, err := RunFailoverScenario(c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("failover %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
+	results, err := runGrid("failover", scenarios, seeds, workers, nil, RunFailoverScenario)
 	if err != nil {
 		return nil, err
 	}

@@ -113,24 +113,16 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	type once struct {
-		m       *migration.Metrics
-		retrans uint64
-		gap     simtime.Duration
-		cap     *obs.Capture
-	}
 	reps := make([]int, repeats)
 	for i := range reps {
 		reps[i] = i
 	}
-	runs, err := RunParallel(reps, fc.Workers, func(rep int) (once, error) {
-		m, retrans, gap, cap, err := runFreezeOnce(fc, rep)
-		return once{m: m, retrans: retrans, gap: gap, cap: cap}, err
+	runs, err := RunParallel(reps, fc.Workers, nil, func(rep int) (freezeRun, error) {
+		return runFreezeOnce(fc, rep)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var snaps []*obs.Snapshot
 	for _, r := range runs {
 		pt.Runs = append(pt.Runs, r.m)
 		pt.ClientRetransmits += r.retrans
@@ -145,120 +137,85 @@ func RunFreezePoint(fc FreezeConfig) (*FreezePoint, error) {
 		}
 		if r.cap != nil {
 			pt.Caps = append(pt.Caps, r.cap)
-			snaps = append(snaps, r.cap.Snap)
 		}
 	}
-	if len(snaps) > 0 {
-		if pt.Snap, err = obs.MergeSnapshots(snaps...); err != nil {
-			return nil, err
-		}
+	if pt.Snap, err = mergedSnapshot(pt.Caps); err != nil {
+		return nil, err
 	}
 	return pt, nil
 }
 
-// RunFreezeSweep measures the full Fig 5b/5c grid — every (conns,
-// strategy) point at the given repeat count — fanning the points over
-// up to workers goroutines. Points come back in conns-major,
-// strategy-minor order (the order the tables expect); each point's
-// repeats run serially inside its cell so parallelism never nests.
-func RunFreezeSweep(conns []int, strategies []sockmig.Strategy, repeats, workers int) ([]*FreezePoint, error) {
-	return RunFreezeSweepSeeded(conns, strategies, repeats, workers, 0, false)
-}
-
-// RunFreezeSweepObserved is RunFreezeSweep with the observability plane
-// enabled on every cell: each point comes back with per-run Captures
-// and a merged Snap, which the phase table and the trace exporters
-// consume. The sweep's measured numbers are identical to the unobserved
-// sweep — the plane never schedules events.
-func RunFreezeSweepObserved(conns []int, strategies []sockmig.Strategy, repeats, workers int) ([]*FreezePoint, error) {
-	return RunFreezeSweepSeeded(conns, strategies, repeats, workers, 0, true)
-}
-
-// RunFreezeSweepSeeded is the fully parameterized sweep: seed shifts
-// every cell's traffic alignment (FreezeConfig.Seed) and observe
-// attaches the observability plane. Exports of two equal-seed runs are
-// byte-identical at any worker count; unequal seeds diverge — the CI
-// obs job asserts both directions with obsdiff.
-func RunFreezeSweepSeeded(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool) ([]*FreezePoint, error) {
-	return RunFreezeSweepMig(conns, strategies, repeats, workers, seed, observe, nil)
-}
-
-// RunFreezeSweepMig additionally pins the memory-movement strategy
-// (migration.Precopy/Postcopy/Hybrid) for every cell — the second,
-// orthogonal axis the strategy race compares. nil keeps the default
-// (pre-copy), making this a strict generalization of the seeded sweep.
-func RunFreezeSweepMig(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool, mig migration.Strategy) ([]*FreezePoint, error) {
-	return RunFreezeSweepProf(conns, strategies, repeats, workers, seed, observe, mig, nil)
-}
-
-// RunFreezeSweepProf is the fully instrumented sweep: prof additionally
-// attaches the wall-clock self-profiling plane to every cell and
-// records the sweep's worker occupancy. The measured figures are
-// identical with a nil prof — the plane never touches virtual time.
-func RunFreezeSweepProf(conns []int, strategies []sockmig.Strategy, repeats, workers int, seed uint64, observe bool, mig migration.Strategy, prof *simprof.Profiler) ([]*FreezePoint, error) {
-	cells := make([]FreezeConfig, 0, len(conns)*len(strategies))
+// RunFreezeSweep measures the full Fig 5b/5c grid: every (conns,
+// socket strategy) point over conns × SweepStrategies. Each point is
+// base with Conns, Strategy and MigCfg.Strategy set; base carries the
+// rest (Repeats, Seed, Observe, MigCfg.Mig, Prof). The points fan out
+// over up to base.Workers goroutines and come back conns-major,
+// strategy-minor (the order the tables expect); each point's repeats
+// run serially inside its cell so parallelism never nests. Exports of
+// two equal-seed sweeps are byte-identical at any worker count; unequal
+// seeds diverge — the CI obs job asserts both directions with obsdiff.
+func RunFreezeSweep(conns []int, base FreezeConfig) ([]*FreezePoint, error) {
+	cells := make([]FreezeConfig, 0, len(conns)*len(SweepStrategies))
 	for _, n := range conns {
-		for _, s := range strategies {
-			fc := DefaultFreezeConfig(s, n)
-			fc.Repeats = repeats
+		for _, s := range SweepStrategies {
+			fc := base
+			fc.Conns, fc.Strategy, fc.MigCfg.Strategy = n, s, s
 			fc.Workers = 1
-			fc.Observe = observe
-			fc.Seed = seed
-			fc.MigCfg.Mig = mig
-			fc.Prof = prof
 			cells = append(cells, fc)
 		}
 	}
-	return RunParallelProf(cells, workers, prof.Sweep("freeze-sweep", workers), RunFreezePoint)
+	return RunParallel(cells, base.Workers, base.Prof.Sweep("freeze-sweep", base.Workers), RunFreezePoint)
 }
 
-func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtime.Duration, *obs.Capture, error) {
+// freezeRun is one repeat of a Fig 5b/5c point: the migration's
+// metrics, the clients' retransmissions, the longest gap between phase
+// events (observed runs only) and the obs capture.
+type freezeRun struct {
+	m       *migration.Metrics
+	retrans uint64
+	gap     simtime.Duration
+	cap     *obs.Capture
+}
+
+func runFreezeOnce(fc FreezeConfig, rep int) (freezeRun, error) {
 	sched := simtime.NewScheduler()
 	cluster := proc.NewCluster(sched, 3) // source, destination, DB
-	var o *obs.Obs
-	if fc.Observe {
-		o = obs.New(sched)
+	// The label is formatted only when used: the bare run allocates
+	// nothing the plane does not need.
+	var label string
+	if fc.Observe || fc.Prof != nil {
+		label = fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
 	}
+	pl := newCellPlane(cluster, fc.Observe, fc.Prof, label, 0)
 	// Consumers get the per-phase delta handed to them on the event
 	// (PhaseEvent.Since); the worst single stall is one comparison.
 	// Only armed when observing, so the disabled benchmark path stays
 	// allocation-free.
-	var worstGap simtime.Duration
+	var run freezeRun
 	var onPhase func(migration.PhaseEvent)
 	if fc.Observe {
 		onPhase = func(ev migration.PhaseEvent) {
-			if d := ev.Time - ev.Since; d > worstGap {
-				worstGap = d
+			if d := ev.Time - ev.Since; d > run.gap {
+				run.gap = d
 			}
 		}
-	}
-	var skew *simprof.SkewProf
-	if fc.Prof != nil {
-		label := fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep)
-		sched.Prof = fc.Prof.Loop(label)
-		skew = fc.Prof.Skew(label)
 	}
 	var migs []*migration.Migrator
 	for _, n := range cluster.Nodes[:2] {
 		m, err := migration.NewMigrator(n, fc.MigCfg)
 		if err != nil {
-			return nil, 0, 0, nil, err
+			return freezeRun{}, err
 		}
-		if fc.Observe {
-			m.SetObs(o)
-			m.OnPhase = onPhase
-		}
-		m.Prof = skew
+		pl.attach(m)
+		m.OnPhase = onPhase
 		migs = append(migs, m)
 	}
 	dbNode := cluster.Nodes[2]
-	db, err := dve.StartDBServer(dbNode)
-	if err != nil {
-		return nil, 0, 0, nil, err
+	if _, err := dve.StartDBServer(dbNode); err != nil {
+		return freezeRun{}, err
 	}
-	_ = db
 	if _, err := startTransdOn(dbNode); err != nil {
-		return nil, 0, 0, nil, err
+		return freezeRun{}, err
 	}
 
 	src := cluster.Nodes[0]
@@ -266,14 +223,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	heap := p.AS.Mmap(fc.MemPages*proc.PageSize, "rw-")
 	for i := uint64(0); i < fc.MemPages; i += 4 {
 		if err := p.AS.Write(heap.Start+i*proc.PageSize, []byte{byte(i)}); err != nil {
-			return nil, 0, 0, nil, err
+			return freezeRun{}, err
 		}
 	}
 
 	// Game clients.
 	lst := netstack.NewTCPSocket(src.Stack)
 	if err := lst.Listen(cluster.ClusterIP, 7000); err != nil {
-		return nil, 0, 0, nil, err
+		return freezeRun{}, err
 	}
 	var serverSide []*netstack.TCPSocket
 	lst.OnAccept = func(ch *netstack.TCPSocket) { serverSide = append(serverSide, ch) }
@@ -282,14 +239,14 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	for i := 0; i < fc.Conns; i++ {
 		cli := netstack.NewTCPSocket(host)
 		if err := cli.Connect(cluster.ClusterIP, 7000); err != nil {
-			return nil, 0, 0, nil, err
+			return freezeRun{}, err
 		}
 		cli.OnReadable = func() { cli.Discard() } // consume updates
 		clients = append(clients, cli)
 	}
 	sched.RunFor(2e9)
 	if len(serverSide) != fc.Conns {
-		return nil, 0, 0, nil, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
+		return freezeRun{}, fmt.Errorf("eval: only %d/%d connections established", len(serverSide), fc.Conns)
 	}
 	for _, sk := range serverSide {
 		p.FDs.Install(&proc.TCPFile{Sock: sk})
@@ -298,7 +255,7 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	// MySQL session").
 	dbSock := netstack.NewTCPSocket(src.Stack)
 	if err := dbSock.Connect(dbNode.LocalIP, dve.DBPort); err != nil {
-		return nil, 0, 0, nil, err
+		return freezeRun{}, err
 	}
 	p.FDs.Install(&proc.TCPFile{Sock: dbSock})
 	sched.RunFor(1e9)
@@ -324,8 +281,6 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	// work spread over Batches sub-frames like a real server's send loop.
 	msg := make([]byte, fc.MsgBytes)
 	batch := 0
-	update := make([]byte, 8)
-	_ = update
 	p.Tick = func(self *proc.Process) {
 		batch++
 		tcp, _ := self.Sockets()
@@ -360,19 +315,15 @@ func runFreezeOnce(fc FreezeConfig, rep int) (*migration.Metrics, uint64, simtim
 	})
 	sched.RunFor(30e9)
 	if gotErr != nil {
-		return nil, 0, 0, nil, gotErr
+		return freezeRun{}, gotErr
 	}
 	if got == nil {
-		return nil, 0, 0, nil, fmt.Errorf("eval: migration did not complete")
+		return freezeRun{}, fmt.Errorf("eval: migration did not complete")
 	}
-	var retrans uint64
+	run.m = got
 	for _, cli := range clients {
-		retrans += cli.Retransmits
+		run.retrans += cli.Retransmits
 	}
-	var cap *obs.Capture
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		cap = o.Capture(fmt.Sprintf("freeze-c%d-%s-rep%d", fc.Conns, fc.Strategy, rep))
-	}
-	return got, retrans, worstGap, cap, nil
+	run.cap, _ = pl.finish(cluster, label, false)
+	return run, nil
 }

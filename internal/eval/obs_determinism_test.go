@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dvemig/internal/obs"
+	"dvemig/internal/sockmig"
 )
 
 // TestObsParallelMatchesSerial is the determinism contract of the
@@ -24,7 +25,9 @@ func TestObsParallelMatchesSerial(t *testing.T) {
 		repeats = 1
 	}
 	render := func(workers int) (trace, metrics []byte) {
-		points, err := RunFreezeSweepObserved(conns, SweepStrategies, repeats, workers)
+		base := DefaultFreezeConfig(sockmig.Iterative, 0)
+		base.Repeats, base.Workers, base.Observe = repeats, workers, true
+		points, err := RunFreezeSweep(conns, base)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -35,21 +35,17 @@ import (
 // machines the extra goroutines made the scaling curve flat to
 // negative (workers=2 measurably *slower* than workers=1 on one CPU).
 //
+// When sp is non-nil, every cell's wall time and memory deltas are
+// recorded against the worker that ran it (worker 0 is the serial path
+// / the calling goroutine), bracketed by the sweep's own wall window so
+// the report can compute per-worker busy/idle occupancy. A nil sp is
+// the plain runner — the collector only reads the host clock and
+// MemStats, never the cells, so results are bit-identical either way.
+//
 // All cells are run even if some fail; the returned error is the first
 // failure in canonical cell order, so error reporting is as
 // deterministic as the results themselves.
-func RunParallel[C any, R any](cells []C, workers int, fn func(C) (R, error)) ([]R, error) {
-	return RunParallelProf(cells, workers, nil, fn)
-}
-
-// RunParallelProf is RunParallel with a self-profiling collector: when
-// sp is non-nil, every cell's wall time and memory deltas are recorded
-// against the worker that ran it (worker 0 is the serial path / the
-// calling goroutine), bracketed by the sweep's own wall window so the
-// report can compute per-worker busy/idle occupancy. A nil sp is the
-// plain runner — the collector only reads the host clock and MemStats,
-// never the cells, so results are bit-identical either way.
-func RunParallelProf[C any, R any](cells []C, workers int, sp *simprof.SweepProf, fn func(C) (R, error)) ([]R, error) {
+func RunParallel[C any, R any](cells []C, workers int, sp *simprof.SweepProf, fn func(C) (R, error)) ([]R, error) {
 	results := make([]R, len(cells))
 	errs := make([]error, len(cells))
 	if max := runtime.GOMAXPROCS(0); workers <= 0 || workers > max {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"dvemig/internal/sockmig"
 )
 
 // TestRunParallelOrder checks the canonical-order merge: results land at
@@ -15,7 +17,7 @@ func TestRunParallelOrder(t *testing.T) {
 		cells[i] = i
 	}
 	for _, workers := range []int{0, 1, 3, 7, 200} {
-		out, err := RunParallel(cells, workers, func(c int) (int, error) {
+		out, err := RunParallel(cells, workers, nil, func(c int) (int, error) {
 			return c * c, nil
 		})
 		if err != nil {
@@ -35,7 +37,7 @@ func TestRunParallelOrder(t *testing.T) {
 func TestRunParallelErrors(t *testing.T) {
 	cells := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	var ran atomic.Int64
-	_, err := RunParallel(cells, 4, func(c int) (int, error) {
+	_, err := RunParallel(cells, 4, nil, func(c int) (int, error) {
 		ran.Add(1)
 		if c == 3 || c == 6 {
 			return 0, fmt.Errorf("cell %d failed", c)
@@ -52,7 +54,7 @@ func TestRunParallelErrors(t *testing.T) {
 
 // TestRunParallelEmpty checks the degenerate inputs.
 func TestRunParallelEmpty(t *testing.T) {
-	out, err := RunParallel(nil, 4, func(int) (int, error) {
+	out, err := RunParallel(nil, 4, nil, func(int) (int, error) {
 		return 0, errors.New("must not run")
 	})
 	if err != nil || len(out) != 0 {
@@ -137,11 +139,14 @@ func TestFailoverSweepParallelMatchesSerial(t *testing.T) {
 // 5b/5c grid (a smaller-than-default grid keeps the test quick).
 func TestFreezeSweepParallelMatchesSerial(t *testing.T) {
 	conns := []int{16, 32}
-	serial, err := RunFreezeSweep(conns, SweepStrategies, 2, 1)
+	base := DefaultFreezeConfig(sockmig.Iterative, 0)
+	base.Repeats, base.Workers = 2, 1
+	serial, err := RunFreezeSweep(conns, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunFreezeSweep(conns, SweepStrategies, 2, 4)
+	base.Workers = 4
+	parallel, err := RunFreezeSweep(conns, base)
 	if err != nil {
 		t.Fatal(err)
 	}

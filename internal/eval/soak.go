@@ -7,7 +7,6 @@ import (
 
 	"dvemig/internal/ctlplane"
 	"dvemig/internal/faults"
-	"dvemig/internal/flight"
 	"dvemig/internal/lb"
 	"dvemig/internal/migration"
 	"dvemig/internal/obs"
@@ -223,27 +222,11 @@ type SoakReport struct {
 }
 
 // Captures lists cells' observability captures in canonical order.
-func (r *SoakReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
+func (r *SoakReport) Captures() []*obs.Capture { return captures(r.Results) }
 
 // MergedSnapshot sums every observed cell's metric snapshot.
 func (r *SoakReport) MergedSnapshot() (*obs.Snapshot, error) {
-	caps := r.Captures()
-	if len(caps) == 0 {
-		return nil, nil
-	}
-	snaps := make([]*obs.Snapshot, len(caps))
-	for i, c := range caps {
-		snaps[i] = c.Snap
-	}
-	return obs.MergeSnapshots(snaps...)
+	return mergedSnapshot(r.Captures())
 }
 
 // Violations counts cells with a non-empty audit verdict.
@@ -340,23 +323,11 @@ func (r *SoakReport) Table() string {
 // merges results in canonical order — bit-identical at any worker
 // count.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
-	type cell struct {
-		sc   SoakScenario
-		seed uint64
-	}
-	cells := make([]cell, 0, len(cfg.Scenarios)*len(cfg.Seeds))
-	for _, sc := range cfg.Scenarios {
-		for _, seed := range cfg.Seeds {
-			cells = append(cells, cell{sc: sc, seed: seed})
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers), func(c cell) (*SoakResult, error) {
-		res, err := runSoakCell(cfg, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("soak %s seed %d: %w", c.sc.Name, c.seed, err)
-		}
-		return res, nil
-	})
+	results, err := runGrid("soak", cfg.Scenarios, cfg.Seeds,
+		cfg.Workers, cfg.Prof.Sweep("soak-sweep", cfg.Workers),
+		func(sc SoakScenario, seed uint64) (*SoakResult, error) {
+			return runSoakCell(cfg, sc, seed)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -382,31 +353,15 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	workers := cluster.Nodes[:nWorkers]
 	ctlNode, sbNode := cluster.Nodes[nWorkers], cluster.Nodes[nWorkers+1]
 
-	var o *obs.Obs
-	if cfg.Observe {
-		o = obs.New(sched)
-	}
-	var fset *flight.Set
-	if cfg.FlightDepth > 0 {
-		fset = flight.NewSet(cfg.FlightDepth)
-		sched.FR = fset.Track("sched")
-		for _, n := range cluster.Nodes {
-			n.AttachFlight(fset)
-		}
-	}
+	label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
+	pl := newCellPlane(cluster, cfg.Observe, cfg.Prof, label, cfg.FlightDepth)
+	o := pl.obs
 
 	// Per-node sniffers fold into one cell hash in node order.
 	sniffs := make([]*fnvSniffer, len(cluster.Nodes))
 	for i, n := range cluster.Nodes {
 		sniffs[i] = newFnvSniffer()
 		n.LocalNIC.AttachSniffer(sniffs[i])
-	}
-
-	var skew *simprof.SkewProf
-	if cfg.Prof != nil {
-		label := fmt.Sprintf("soak/%s/seed%d", sc.Name, seed)
-		sched.Prof = cfg.Prof.Loop(label)
-		skew = cfg.Prof.Skew(label)
 	}
 
 	lcfg := lb.DefaultConfig()
@@ -419,10 +374,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 		if err != nil {
 			return nil, err
 		}
-		if o != nil {
-			m.SetObs(o)
-		}
-		m.Prof = skew
+		pl.attach(m)
 		cd, err := lb.NewConductor(n, m, lcfg)
 		if err != nil {
 			return nil, err
@@ -491,6 +443,18 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			}
 		}
 		return nil, nil
+	}
+	// running counts the workers a service is running on.
+	running := func(name string) int {
+		r := 0
+		for _, n := range workers {
+			for _, p := range n.Processes() {
+				if p.Name == name && p.State == proc.ProcRunning {
+					r++
+				}
+			}
+		}
+		return r
 	}
 	// primary picks the controller to submit to. During a partition both
 	// may claim primacy for a moment — the higher epoch is the one whose
@@ -587,17 +551,9 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			// Single-owner, mid-run form: >1 running is always a fork
 			// (0 is legal inside a freeze window).
 			for _, name := range names {
-				running := 0
-				for _, n := range workers {
-					for _, p := range n.Processes() {
-						if p.Name == name && p.State == proc.ProcRunning {
-							running++
-						}
-					}
-				}
-				if running > 1 {
+				if r := running(name); r > 1 {
 					found = append(found,
-						fmt.Sprintf("single-owner broken: %s running on %d nodes", name, running))
+						fmt.Sprintf("single-owner broken: %s running on %d nodes", name, r))
 				}
 			}
 			// Exactly-once, mid-run form: the engine can never have settled
@@ -625,9 +581,9 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			}
 			if fresh && res.FirstViolationWindow < 0 {
 				res.FirstViolationWindow = w.Index
-				if fset != nil {
+				if pl.fset != nil {
 					var b strings.Builder
-					fset.DumpWindow(&b, w.Index, int64(w.From), int64(w.To))
+					pl.fset.DumpWindow(&b, w.Index, int64(w.From), int64(w.To))
 					res.FlightDump = b.String()
 				}
 			}
@@ -715,15 +671,7 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 			n.StopLoop(p)
 		}
 	}
-	limit := sched.Now() + 3600*1e9
-	for sched.Pending() > 0 {
-		next, _ := sched.NextEventTime()
-		if next > limit {
-			break
-		}
-		sched.RunUntil(next)
-	}
-	res.PendingAfterDrain = sched.Pending()
+	res.PendingAfterDrain = pl.drain()
 
 	// ---- audits ----
 	// The surviving primary is authoritative; objects a fenced ex-primary
@@ -769,16 +717,8 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 
 	// Single-owner: every service runs on exactly one worker.
 	for _, name := range names {
-		running := 0
-		for _, n := range workers {
-			for _, p := range n.Processes() {
-				if p.Name == name && p.State == proc.ProcRunning {
-					running++
-				}
-			}
-		}
-		if running != 1 {
-			if msg := fmt.Sprintf("single-owner broken: %s running on %d nodes", name, running); violate(msg) {
+		if r := running(name); r != 1 {
+			if msg := fmt.Sprintf("single-owner broken: %s running on %d nodes", name, r); violate(msg) {
 				res.Violations = append(res.Violations, msg)
 			}
 		}
@@ -827,16 +767,12 @@ func runSoakCell(cfg SoakConfig, sc SoakScenario, seed uint64) (*SoakResult, err
 	if sloEng != nil {
 		res.SLO = sloEng.Results()
 	}
-	if o != nil {
-		obs.HarvestCluster(o.Metrics, cluster)
-		res.Obs = o.Capture(fmt.Sprintf("soak/%s/seed%d", sc.Name, seed))
-	}
-	if fset != nil && len(res.Violations) > 0 && res.FlightDump == "" {
-		// Teardown-only discovery (sampling off, or a violation only
-		// expressible at quiescence): dump without a window anchor.
-		var b strings.Builder
-		fset.Dump(&b)
-		res.FlightDump = b.String()
+	// A teardown-only discovery (sampling off, or a violation only
+	// expressible at quiescence) dumps without a window anchor.
+	var dump string
+	res.Obs, dump = pl.finish(cluster, label, len(res.Violations) > 0 && res.FlightDump == "")
+	if dump != "" {
+		res.FlightDump = dump
 	}
 	return res, nil
 }

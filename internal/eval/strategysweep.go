@@ -8,79 +8,20 @@ import (
 	"dvemig/internal/obs"
 )
 
-// StrategySweepConfig parameterizes the strategy race: every migration
-// strategy runs the same chaos scenario battery at the same seeds, so
-// the per-strategy freeze/downtime/degraded-window columns are directly
-// comparable cell by cell.
-type StrategySweepConfig struct {
-	// Strategies lists the migration strategies to race (default: all
-	// three, in migration.StrategyNames order).
-	Strategies []string
-	Chaos      ChaosConfig
-}
+// The strategy race: every migration strategy runs the same chaos
+// scenario battery at the same seeds, so the per-strategy freeze,
+// downtime and degraded-window columns are directly comparable cell by
+// cell. Its report is a ChaosReport whose results are strategy-major,
+// scenario-minor, seed-ordered.
 
-// DefaultStrategySweepConfig races all three strategies over the
-// default chaos battery at two seeds.
-func DefaultStrategySweepConfig() StrategySweepConfig {
-	chaos := DefaultChaosConfig()
-	chaos.Seeds = []uint64{1, 2}
-	return StrategySweepConfig{
-		Strategies: migration.StrategyNames(),
-		Chaos:      chaos,
-	}
-}
-
-// StrategyResult is one (strategy, scenario, seed) cell.
-type StrategyResult struct {
-	Strategy string
-	*ChaosResult
-}
-
-// StrategyReport aggregates the race, strategy-major, scenario-minor,
-// seed-ordered — the canonical order every rendering walks, so the
-// artifacts are bit-identical at any worker count.
-type StrategyReport struct {
-	Results []*StrategyResult
-}
-
-// Captures lists the observed cells' captures in canonical order.
-func (r *StrategyReport) Captures() []*obs.Capture {
-	var out []*obs.Capture
-	for _, res := range r.Results {
-		if res.Obs != nil {
-			out = append(out, res.Obs)
-		}
-	}
-	return out
-}
-
-// Counts returns (survived, completed, aborted, violated) cell counts.
-func (r *StrategyReport) Counts() (survived, completed, aborted, violated int) {
-	for _, res := range r.Results {
-		if res.Survived {
-			survived++
-		}
-		if res.Completed {
-			completed++
-		}
-		if res.Aborted {
-			aborted++
-		}
-		if len(res.Violations) > 0 {
-			violated++
-		}
-	}
-	return
-}
-
-// Table renders every cell with the three per-strategy latency columns:
-// freeze time (process stopped on both nodes), total downtime (freeze
-// plus post-resume demand-fault stalls), and the degraded window (from
-// migration start until the last page fill — the span in which the
-// process runs below full speed). For pre-copy the stall share is zero
-// and the degraded window ends at resume, so the columns degenerate to
-// the classic freeze-centric view.
-func (r *StrategyReport) Table() string {
+// StrategyTable renders every cell with the three per-strategy latency
+// columns: freeze time (process stopped on both nodes), total downtime
+// (freeze plus post-resume demand-fault stalls), and the degraded
+// window (from migration start until the last page fill — the span in
+// which the process runs below full speed). For pre-copy the stall
+// share is zero and the degraded window ends at resume, so the columns
+// degenerate to the classic freeze-centric view.
+func (r *ChaosReport) StrategyTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy race: per-cell freeze / downtime / degraded window under chaos\n")
 	fmt.Fprintf(&b, "%-9s %-18s %5s %8s %7s %10s %10s %10s %6s %18s\n",
@@ -110,10 +51,10 @@ func (r *StrategyReport) Table() string {
 	return b.String()
 }
 
-// Summary renders the head-to-head comparison: per (scenario, strategy)
+// StrategySummary renders the head-to-head comparison: per (scenario, strategy)
 // means over the seeds that completed. This is the table EXPERIMENTS.md
 // quotes.
-func (r *StrategyReport) Summary() string {
+func (r *ChaosReport) StrategySummary() string {
 	type key struct{ scenario, strategy string }
 	type agg struct {
 		n                   int
@@ -189,47 +130,39 @@ func (r *StrategyReport) Summary() string {
 	return b.String()
 }
 
-// RunStrategySweep races every configured migration strategy through
-// every chaos scenario at every seed. Each cell owns a private
-// scheduler and cluster; cells fan out over cfg.Chaos.Workers
-// goroutines and merge in canonical order, so the report — trace hashes
-// included — is bit-identical at any worker count.
-func RunStrategySweep(cfg StrategySweepConfig) (*StrategyReport, error) {
-	strategies := cfg.Strategies
-	if len(strategies) == 0 {
-		strategies = migration.StrategyNames()
-	}
-	type cell struct {
-		strategy string
-		sc       ChaosScenario
-		seed     uint64
-	}
-	var cells []cell
-	for _, st := range strategies {
-		if _, err := migration.StrategyByName(st); err != nil {
-			return nil, err
+// raceEntry is one (strategy, chaos scenario) row of the race grid.
+type raceEntry struct {
+	strategy string
+	sc       ChaosScenario
+}
+
+func (e raceEntry) name() string { return e.strategy + " chaos " + e.sc.Name }
+
+// RunStrategySweep races every migration strategy (all of
+// migration.StrategyNames) through every chaos scenario at every seed.
+// Each cell owns a private scheduler and cluster; cells fan out over
+// cfg.Workers goroutines and merge in canonical order, so the report —
+// trace hashes included — is bit-identical at any worker count.
+func RunStrategySweep(cfg ChaosConfig) (*ChaosReport, error) {
+	var entries []raceEntry
+	for _, st := range migration.StrategyNames() {
+		for _, sc := range cfg.Scenarios {
+			entries = append(entries, raceEntry{strategy: st, sc: sc})
 		}
-		for _, sc := range cfg.Chaos.Scenarios {
-			for _, seed := range cfg.Chaos.Seeds {
-				cells = append(cells, cell{strategy: st, sc: sc, seed: seed})
+	}
+	results, err := runGrid("strategy", entries, cfg.Seeds,
+		cfg.Workers, cfg.Prof.Sweep("strategy-sweep", cfg.Workers),
+		func(e raceEntry, seed uint64) (*ChaosResult, error) {
+			mig, err := migration.StrategyByName(e.strategy)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	results, err := RunParallelProf(cells, cfg.Chaos.Workers, cfg.Chaos.Prof.Sweep("strategy-sweep", cfg.Chaos.Workers), func(c cell) (*StrategyResult, error) {
-		mig, err := migration.StrategyByName(c.strategy)
-		if err != nil {
-			return nil, err
-		}
-		chaos := cfg.Chaos // value copy; the cell owns its config
-		chaos.MigCfg.Mig = mig
-		res, err := RunChaosScenario(chaos, c.sc, c.seed)
-		if err != nil {
-			return nil, fmt.Errorf("strategy %s chaos %s seed %d: %w", c.strategy, c.sc.Name, c.seed, err)
-		}
-		return &StrategyResult{Strategy: c.strategy, ChaosResult: res}, nil
-	})
+			chaos := cfg // value copy; the cell owns its config
+			chaos.MigCfg.Mig = mig
+			return RunChaosScenario(chaos, e.sc, seed)
+		})
 	if err != nil {
 		return nil, err
 	}
-	return &StrategyReport{Results: results}, nil
+	return &ChaosReport{Results: results}, nil
 }

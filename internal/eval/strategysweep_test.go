@@ -9,13 +9,13 @@ import (
 
 // smallStrategySweep keeps the parity matrix cheap: three strategies,
 // two fault scenarios (one benign, one adversarial), two seeds.
-func smallStrategySweep(workers int, observe bool) StrategySweepConfig {
-	cfg := DefaultStrategySweepConfig()
+func smallStrategySweep(workers int, observe bool) ChaosConfig {
+	cfg := DefaultChaosConfig()
 	all := DefaultChaosScenarios()
-	cfg.Chaos.Scenarios = []ChaosScenario{all[0], all[4]} // healthy, lossy-cluster
-	cfg.Chaos.Seeds = []uint64{1, 2}
-	cfg.Chaos.Workers = workers
-	cfg.Chaos.Observe = observe
+	cfg.Scenarios = []ChaosScenario{all[0], all[4]} // healthy, lossy-cluster
+	cfg.Seeds = []uint64{1, 2}
+	cfg.Workers = workers
+	cfg.Observe = observe
 	return cfg
 }
 
@@ -99,7 +99,7 @@ func TestStrategySweepParallelMatchesSerial(t *testing.T) {
 		if err := obs.WriteMetricsText(&mb, caps...); err != nil {
 			t.Fatal(err)
 		}
-		return r.Table(), r.Summary(), hashes, tb.Bytes(), mb.Bytes()
+		return r.StrategyTable(), r.StrategySummary(), hashes, tb.Bytes(), mb.Bytes()
 	}
 	refTable, refSummary, refHashes, refTrace, refMetrics := render(1)
 	if len(refTrace) == 0 || len(refMetrics) == 0 {

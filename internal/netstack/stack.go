@@ -200,11 +200,7 @@ func (s *Stack) input(p *netsim.Packet) {
 		p.Release()
 		return
 	}
-	if v := s.runHooks(HookPreRouting, p); v != VerdictAccept {
-		s.frVerdict(v, "prerouting", p)
-		if v == VerdictDrop {
-			p.Release() // stolen packets stay alive in the hook's queue
-		}
+	if !s.filter(HookPreRouting, "prerouting", p) {
 		return
 	}
 	if !s.localAddrs[p.DstIP] {
@@ -214,30 +210,46 @@ func (s *Stack) input(p *netsim.Packet) {
 		p.Release()
 		return
 	}
-	if v := s.runHooks(HookLocalIn, p); v != VerdictAccept {
-		s.frVerdict(v, "local-in", p)
-		if v == VerdictDrop {
-			p.Release()
-		}
+	if !s.filter(HookLocalIn, "local-in", p) {
 		return
 	}
 	s.demux(p)
 }
 
-// frVerdict records a non-accept netfilter verdict into the flight
-// recorder: hook-drop for discarded packets, hook-steal for packets a
-// capture filter took over. One pointer check when detached.
-func (s *Stack) frVerdict(v Verdict, hook string, p *netsim.Packet) {
-	if s.FR == nil {
-		return
+// filter runs the hook chain at point and reports whether p goes on.
+// An empty chain (the common case) is an inlined length check.
+func (s *Stack) filter(point HookPoint, hook string, p *netsim.Packet) bool {
+	return len(s.hooks.entries[point]) == 0 || s.filterHooked(point, hook, p)
+}
+
+// filterHooked runs a non-empty chain. A dropped packet is released
+// here; a stolen one belongs to the hook, which may already have
+// released it (capture's dedup consumes a duplicate outright), so the
+// flight-recorder key — hook-drop or hook-steal, (src, dst, seq) — is
+// read before the chain runs. One pointer check when the recorder is
+// detached.
+func (s *Stack) filterHooked(point HookPoint, hook string, p *netsim.Packet) bool {
+	var src, dst, seq int64
+	if s.FR != nil {
+		src = int64(uint64(p.SrcIP)<<32 | uint64(p.SrcPort))
+		dst = int64(uint64(p.DstIP)<<32 | uint64(p.DstPort))
+		seq = int64(p.Seq)
 	}
-	kind := "hook-drop"
-	if v == VerdictStolen {
-		kind = "hook-steal"
+	v := s.runHooks(point, p)
+	if v == VerdictAccept {
+		return true
 	}
-	s.FR.Record(int64(s.sched.Now()), kind, hook,
-		int64(uint64(p.SrcIP)<<32|uint64(p.SrcPort)),
-		int64(uint64(p.DstIP)<<32|uint64(p.DstPort)), int64(p.Seq))
+	if s.FR != nil {
+		kind := "hook-drop"
+		if v == VerdictStolen {
+			kind = "hook-steal"
+		}
+		s.FR.Record(int64(s.sched.Now()), kind, hook, src, dst, seq)
+	}
+	if v == VerdictDrop {
+		p.Release() // stolen packets stay alive in the hook's queue
+	}
+	return false
 }
 
 // Reinject is the okfn (ip_rcv_finish): it resubmits a stolen packet to
@@ -299,18 +311,7 @@ func (s *Stack) transmit(p *netsim.Packet) {
 		}
 		p.Dst = e
 	}
-	if v := s.runHooks(HookLocalOut, p); v != VerdictAccept {
-		s.frVerdict(v, "local-out", p)
-		if v == VerdictDrop {
-			p.Release()
-		}
-		return
-	}
-	if v := s.runHooks(HookPostRouting, p); v != VerdictAccept {
-		s.frVerdict(v, "postrouting", p)
-		if v == VerdictDrop {
-			p.Release()
-		}
+	if !s.filter(HookLocalOut, "local-out", p) || !s.filter(HookPostRouting, "postrouting", p) {
 		return
 	}
 	nic := s.nicByName(p.Dst.Iface)
